@@ -19,9 +19,10 @@
 //!   CMAC tag binding counter + identity + canonical content bytes. An
 //!   adversary may copy, re-serve, or relocate records wholesale.
 //! * [`CounterTree`] — the on-chip trusted anchor. Each write bumps the
-//!   unit's counter in O(1): the unit's old digest is XORed out of its
-//!   tree-level aggregate and the new one XORed in, so the root is a pure
-//!   function of the final counter map — independent of persist order.
+//!   unit's counter in O(1): the unit's cached old digest is XORed out of
+//!   its tree-level aggregate and the new one XORed in, so the root is a
+//!   pure function of the final counter map — independent of persist
+//!   order.
 //! * [`AuthTags`] — the verification front end. [`AuthTags::verdict_slot`]
 //!   classifies what it reads back: `Tampered` (tag mismatch — media
 //!   damage), `Spliced` (authentic record for a *different* address),
@@ -31,10 +32,16 @@
 //!
 //! The temporary PosMap seal is unchanged from PR-5: it models an on-chip
 //! rolling seal and is not replayable in this model.
+//!
+//! Every tag streams its fields straight into the CMAC
+//! ([`psoram_crypto::CmacStream`]) in the length-prefixed framing of
+//! [`Cmac::tag_parts`]; no message buffer is assembled. Known-answer pins
+//! in the tests lock that encoding.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use psoram_crypto::{Aes128, Cmac};
 
@@ -51,38 +58,61 @@ const DOMAIN_CTR: u8 = 0xC7;
 /// CMAC domain byte for the counter-tree root.
 const DOMAIN_ROOT: u8 = 0x52;
 
-/// Canonical byte serialization of a tree slot's content.
+/// Leading byte of a dummy slot's canonical encoding (its only byte), so
+/// "slot emptied" and "slot never tagged" stay distinguishable from any
+/// real block bytes.
+const SLOT_DUMMY: u8 = 0xD5;
+/// Leading byte of a real block's canonical slot encoding.
+const SLOT_REAL: u8 = 0xB1;
+/// Bytes of a real block's canonical slot encoding ahead of its payload:
+/// the leading byte, addr, leaf, iv1, iv2 and seq (8 each), the backup
+/// flag (1) and the payload length (8).
+const SLOT_REAL_FIXED_BYTES: u64 = 50;
+
+/// A deterministic multiply-rotate [`Hasher`] for the freshness maps.
 ///
-/// Dummy slots get a distinct single-byte encoding so "slot emptied" and
-/// "slot never tagged" stay distinguishable from any real block bytes.
-fn slot_bytes(content: Option<&Block>) -> Vec<u8> {
-    match content {
-        None => vec![0xD5],
-        Some(b) => {
-            let mut out = Vec::with_capacity(42 + b.payload.len());
-            out.push(0xB1);
-            out.extend_from_slice(&b.header.addr.0.to_le_bytes());
-            out.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-            out.extend_from_slice(&b.header.iv1.to_le_bytes());
-            out.extend_from_slice(&b.header.iv2.to_le_bytes());
-            out.extend_from_slice(&b.header.seq.to_le_bytes());
-            out.push(b.is_backup as u8);
-            out.extend_from_slice(&(b.payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&b.payload);
-            out
+/// Their keys are simulator coordinates (bucket indices, slot numbers,
+/// block addresses), never attacker-chosen input, so SipHash's flooding
+/// resistance buys nothing and its cost sits on the hot path. No output
+/// depends on map order: every iteration over these maps sorts first.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CoordHasher(u64);
+
+impl Hasher for CoordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits into
+        // the low bits that pick the table position.
+        self.0.rotate_left(26)
     }
 }
 
-/// Canonical byte serialization of a sorted temp-PosMap entry list.
-fn temp_bytes(entries: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + entries.len() * 16);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (a, l) in entries {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&l.to_le_bytes());
-    }
-    out
+/// A `HashMap` keyed by simulator coordinates, hashed with [`CoordHasher`].
+pub(crate) type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
+
+/// The device key a controller arms its freshness layer and WPQ frame
+/// seals with, derived from the fault-plan seed.
+pub(crate) fn device_key(seed: u64) -> [u8; 16] {
+    let mut key = [0u8; 16];
+    key[..8].copy_from_slice(&seed.to_le_bytes());
+    key[8..].copy_from_slice(&seed.rotate_left(17).to_le_bytes());
+    key[0] ^= 0xA7;
+    key
 }
 
 /// Constant-shape 16-byte tag comparison.
@@ -203,11 +233,15 @@ impl FreshnessStats {
 /// the old digest out, XOR the new digest in. The root is therefore a
 /// pure function of the final counter map — two equivalent persist
 /// schedules that end in the same counters produce bit-identical roots.
+/// Each unit caches the digest of its current counter, so a bump computes
+/// one digest (the new one), not two.
 #[derive(Debug, Clone)]
 pub struct CounterTree {
     cmac: Cmac,
-    slots: HashMap<(u64, usize), u64>,
-    posmap: HashMap<u64, u64>,
+    /// Per tree slot: the trusted counter and its cached digest.
+    slots: CoordMap<(u64, usize), (u64, u128)>,
+    /// Per PosMap address: the trusted counter and its cached digest.
+    posmap: CoordMap<u64, (u64, u128)>,
     levels: Vec<u128>,
     posmap_agg: u128,
     epoch: u64,
@@ -218,8 +252,8 @@ impl CounterTree {
     pub fn new(key: &[u8; 16]) -> Self {
         CounterTree {
             cmac: Cmac::new(Aes128::new(key)),
-            slots: HashMap::new(),
-            posmap: HashMap::new(),
+            slots: CoordMap::default(),
+            posmap: CoordMap::default(),
             levels: Vec::new(),
             posmap_agg: 0,
             epoch: 0,
@@ -231,8 +265,8 @@ impl CounterTree {
         (bucket + 1).ilog2() as usize
     }
 
-    fn slot_digest(&self, bucket: u64, slot: usize, ctr: u64) -> u128 {
-        u128::from_le_bytes(self.cmac.tag_parts(
+    fn slot_digest(cmac: &Cmac, bucket: u64, slot: usize, ctr: u64) -> u128 {
+        u128::from_le_bytes(cmac.tag_parts(
             DOMAIN_CTR,
             &[
                 b"slot",
@@ -243,55 +277,48 @@ impl CounterTree {
         ))
     }
 
-    fn posmap_digest(&self, addr: u64, ctr: u64) -> u128 {
-        u128::from_le_bytes(self.cmac.tag_parts(
+    fn posmap_digest(cmac: &Cmac, addr: u64, ctr: u64) -> u128 {
+        u128::from_le_bytes(cmac.tag_parts(
             DOMAIN_CTR,
             &[b"posmap", &addr.to_le_bytes(), &ctr.to_le_bytes()],
         ))
     }
 
     /// Bumps the counter of tree slot `(bucket, slot)` and returns the
-    /// new value. O(1): only the slot's level aggregate changes.
+    /// new value. O(1): only the slot's level aggregate changes. A unit
+    /// never written before starts from counter 0 with a zero digest.
     pub fn bump_slot(&mut self, bucket: u64, slot: usize) -> u64 {
         let level = Self::level_of(bucket);
         if self.levels.len() <= level {
             self.levels.resize(level + 1, 0);
         }
-        let prev = self.slots.get(&(bucket, slot)).copied();
-        if let Some(c) = prev {
-            let out = self.slot_digest(bucket, slot, c);
-            self.levels[level] ^= out;
-        }
-        let next = prev.unwrap_or(0) + 1;
-        let digest = self.slot_digest(bucket, slot, next);
-        self.levels[level] ^= digest;
-        self.slots.insert((bucket, slot), next);
+        let unit = self.slots.entry((bucket, slot)).or_insert((0, 0));
+        let next = unit.0 + 1;
+        let digest = Self::slot_digest(&self.cmac, bucket, slot, next);
+        self.levels[level] ^= unit.1 ^ digest;
+        *unit = (next, digest);
         next
     }
 
     /// Bumps the counter of PosMap address `addr` and returns the new
     /// value.
     pub fn bump_posmap(&mut self, addr: u64) -> u64 {
-        let prev = self.posmap.get(&addr).copied();
-        if let Some(c) = prev {
-            let out = self.posmap_digest(addr, c);
-            self.posmap_agg ^= out;
-        }
-        let next = prev.unwrap_or(0) + 1;
-        let digest = self.posmap_digest(addr, next);
-        self.posmap_agg ^= digest;
-        self.posmap.insert(addr, next);
+        let unit = self.posmap.entry(addr).or_insert((0, 0));
+        let next = unit.0 + 1;
+        let digest = Self::posmap_digest(&self.cmac, addr, next);
+        self.posmap_agg ^= unit.1 ^ digest;
+        *unit = (next, digest);
         next
     }
 
     /// The trusted counter of a tree slot, if the slot was ever written.
     pub fn slot_ctr(&self, bucket: u64, slot: usize) -> Option<u64> {
-        self.slots.get(&(bucket, slot)).copied()
+        self.slots.get(&(bucket, slot)).map(|&(ctr, _)| ctr)
     }
 
     /// The trusted counter of a PosMap address, if it was ever persisted.
     pub fn posmap_ctr(&self, addr: u64) -> Option<u64> {
-        self.posmap.get(&addr).copied()
+        self.posmap.get(&addr).map(|&(ctr, _)| ctr)
     }
 
     /// All tracked slots in deterministic (sorted) order.
@@ -322,16 +349,14 @@ impl CounterTree {
     /// and the PosMap aggregate. Depends only on the final counter map
     /// and the epoch.
     pub fn root(&self) -> [u8; 16] {
-        let epoch = self.epoch.to_le_bytes();
-        let level_bytes: Vec<[u8; 16]> = self.levels.iter().map(|l| l.to_le_bytes()).collect();
-        let pos = self.posmap_agg.to_le_bytes();
-        let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + level_bytes.len());
-        parts.push(&epoch);
-        for lb in &level_bytes {
-            parts.push(lb);
+        let mut s = self.cmac.stream();
+        s.update(&[DOMAIN_ROOT]);
+        s.part(&self.epoch.to_le_bytes());
+        for level in &self.levels {
+            s.part(&level.to_le_bytes());
         }
-        parts.push(&pos);
-        self.cmac.tag_parts(DOMAIN_ROOT, &parts)
+        s.part(&self.posmap_agg.to_le_bytes());
+        s.finish()
     }
 }
 
@@ -341,12 +366,15 @@ impl CounterTree {
 /// The replay/splice adversary records authentic prior versions as the
 /// controller overwrites units, then re-serves them at crash time or on
 /// the read path. This is adversary state, not defense state: it is
-/// installed alongside the fault plan on hardened *and* baseline
-/// designs, so both face the same attack.
+/// installed alongside a fault plan that can replay or splice
+/// (`stale_replay`, `cross_splice` or `read_replay` above zero), on
+/// hardened *and* baseline designs, so both face the same attack. Any
+/// other plan leaves it out, and with it the copy of every overwritten
+/// block.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnitHistory {
-    slots: HashMap<(BucketIndex, usize), (Option<Block>, Option<UnitMeta>)>,
-    posmap: HashMap<u64, (Leaf, Option<UnitMeta>)>,
+    slots: CoordMap<(BucketIndex, usize), (Option<Block>, Option<UnitMeta>)>,
+    posmap: CoordMap<u64, (Leaf, Option<UnitMeta>)>,
 }
 
 impl UnitHistory {
@@ -387,8 +415,8 @@ impl UnitHistory {
 pub(crate) struct AuthTags {
     cmac: Cmac,
     ctrs: CounterTree,
-    slots: HashMap<(BucketIndex, usize), UnitMeta>,
-    posmap: HashMap<u64, UnitMeta>,
+    slots: CoordMap<(BucketIndex, usize), UnitMeta>,
+    posmap: CoordMap<u64, UnitMeta>,
     temp_seal: Option<[u8; 16]>,
 }
 
@@ -398,22 +426,41 @@ impl AuthTags {
         AuthTags {
             cmac: Cmac::new(Aes128::new(key)),
             ctrs: CounterTree::new(key),
-            slots: HashMap::new(),
-            posmap: HashMap::new(),
+            slots: CoordMap::default(),
+            posmap: CoordMap::default(),
             temp_seal: None,
         }
     }
 
+    /// The record tag of a tree slot: `tag_parts(DOMAIN_SLOT, [src.0,
+    /// src.1, ctr, content])`, where `content` is the slot's canonical
+    /// encoding — [`SLOT_DUMMY`] alone for a dummy, otherwise
+    /// [`SLOT_REAL`], addr, leaf, iv1, iv2, seq, the backup flag, the
+    /// payload length and the payload, integers little-endian. The content
+    /// part streams field by field behind its precomputed length prefix.
     fn slot_tag(&self, src: (u64, u64), ctr: u64, content: Option<&Block>) -> [u8; 16] {
-        self.cmac.tag_parts(
-            DOMAIN_SLOT,
-            &[
-                &src.0.to_le_bytes(),
-                &src.1.to_le_bytes(),
-                &ctr.to_le_bytes(),
-                &slot_bytes(content),
-            ],
-        )
+        let mut s = self.cmac.stream();
+        s.update(&[DOMAIN_SLOT]);
+        s.part(&src.0.to_le_bytes());
+        s.part(&src.1.to_le_bytes());
+        s.part(&ctr.to_le_bytes());
+        match content {
+            None => s.part(&[SLOT_DUMMY]),
+            Some(b) => {
+                let payload_len = b.payload.len() as u64;
+                s.update(&(SLOT_REAL_FIXED_BYTES + payload_len).to_le_bytes());
+                s.update(&[SLOT_REAL]);
+                s.update(&b.header.addr.0.to_le_bytes());
+                s.update(&b.header.leaf.0.to_le_bytes());
+                s.update(&b.header.iv1.to_le_bytes());
+                s.update(&b.header.iv2.to_le_bytes());
+                s.update(&b.header.seq.to_le_bytes());
+                s.update(&[b.is_backup as u8]);
+                s.update(&payload_len.to_le_bytes());
+                s.update(&b.payload);
+            }
+        }
+        s.finish()
     }
 
     fn posmap_tag(&self, src: (u64, u64), ctr: u64, leaf: u64) -> [u8; 16] {
@@ -586,15 +633,27 @@ impl AuthTags {
         self.ctrs.advance_epoch();
     }
 
+    /// The temporary PosMap seal over a sorted entry list: a plain CMAC
+    /// over the entry count and every `(addr, leaf)` pair, little-endian.
+    fn temp_tag(&self, entries: &[(u64, u64)]) -> [u8; 16] {
+        let mut s = self.cmac.stream();
+        s.update(&(entries.len() as u64).to_le_bytes());
+        for (a, l) in entries {
+            s.update(&a.to_le_bytes());
+            s.update(&l.to_le_bytes());
+        }
+        s.finish()
+    }
+
     /// Reseals the temporary PosMap over its sorted entry list.
     pub fn seal_temp(&mut self, entries: &[(u64, u64)]) {
-        self.temp_seal = Some(self.cmac.tag(&temp_bytes(entries)));
+        self.temp_seal = Some(self.temp_tag(entries));
     }
 
     /// Verifies the temporary PosMap seal. No seal → clean.
     pub fn verify_temp(&self, entries: &[(u64, u64)]) -> bool {
         match &self.temp_seal {
-            Some(tag) => self.cmac.verify(&temp_bytes(entries), tag),
+            Some(tag) => tags_equal(&self.temp_tag(entries), tag),
             None => true,
         }
     }
@@ -612,6 +671,75 @@ mod tests {
 
     fn tags() -> AuthTags {
         AuthTags::new(&[7u8; 16])
+    }
+
+    fn hex(tag: &[u8; 16]) -> String {
+        tag.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Known-answer pins for the record encodings: a real-block slot tag
+    /// (every header field set, counter 2), a dummy slot tag, a PosMap
+    /// tag, a temporary-PosMap seal and a counter-tree root (repeated
+    /// bumps, epoch 1). The values were computed by the original
+    /// buffer-assembling encoding; the streamed one must reproduce them
+    /// bit for bit, or every persisted record and root would change.
+    #[test]
+    fn encodings_match_known_answers() {
+        let mut block = Block::new(BlockAddr(0x0123_4567), Leaf(0x89), (0u8..40).collect());
+        block.header.iv1 = 0x1111_2222_3333_4444;
+        block.header.iv2 = 0x5555_6666_7777_8888;
+        block.header.seq = 77;
+        block.is_backup = true;
+
+        let mut t = AuthTags::new(&[0x5Au8; 16]);
+        t.record_slot(1234, 3, Some(&block));
+        t.record_slot(1234, 3, Some(&block));
+        t.record_slot(77, 1, None);
+        t.record_posmap(4242, 0xABCD);
+        t.seal_temp(&[(3, 9), (40, 1), (41, 0xFFFF_FFFF)]);
+        let tag = |m: Option<UnitMeta>| hex(&m.map_or([0; 16], |m| m.tag));
+        assert_eq!(
+            tag(t.slot_record(1234, 3)),
+            "0ed7fca0b7c5c65d227a602d48f8996c"
+        );
+        assert_eq!(
+            tag(t.slot_record(77, 1)),
+            "639c0967f21ef5df50d261debce51101"
+        );
+        assert_eq!(
+            tag(t.posmap_record(4242)),
+            "6b96134d3806b38f55ef16b46dd9c664"
+        );
+        assert_eq!(
+            hex(&t.temp_seal.unwrap_or([0; 16])),
+            "846ff62c4d9b25ab0a6dd9a4ecc76bf8"
+        );
+
+        let mut c = CounterTree::new(&[0xC3u8; 16]);
+        for &(b, s) in &[
+            (0u64, 0usize),
+            (1, 2),
+            (6, 1),
+            (1, 2),
+            (14, 3),
+            (2000, 0),
+            (1, 2),
+        ] {
+            c.bump_slot(b, s);
+        }
+        c.bump_posmap(9);
+        c.bump_posmap(9);
+        c.bump_posmap(31);
+        c.advance_epoch();
+        assert_eq!(hex(&c.root()), "cb326da1eed85ba0974c9008c06e96c2");
+    }
+
+    #[test]
+    fn device_key_is_pinned() {
+        assert_eq!(
+            hex(&device_key(0x0123_4567_89AB_CDEF)),
+            "48cdab89674523014602de9b5713cf8a"
+        );
     }
 
     fn blk(a: u64, payload: u8) -> Block {

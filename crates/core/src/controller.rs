@@ -13,7 +13,7 @@ use psoram_nvm::{
 };
 use psoram_obsv::{Event, Phase, Tap};
 
-use crate::auth::{AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
+use crate::auth::{device_key, AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
 use crate::block::Block;
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, CrashReport, RecoveryError, RecoveryReport};
@@ -396,16 +396,15 @@ impl PathOram {
     /// differential campaigns keep their detection power.
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
         self.engine.install_fault_plan(seed, cfg);
-        // The replay adversary's snapshot store goes on every design —
-        // baselines are replayed too, they just cannot tell.
-        self.history = Some(UnitHistory::default());
+        // The replay adversary's snapshot store goes on every design whose
+        // plan can replay or splice — baselines are replayed too, they
+        // just cannot tell. Other plans never re-serve a snapshot, so
+        // they skip the copy of every overwritten unit.
+        self.history = cfg.arms_replay().then(UnitHistory::default);
         if !self.variant.uses_wpq() {
             return;
         }
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&seed.rotate_left(17).to_le_bytes());
-        key[0] ^= 0xA7;
+        let key = device_key(seed);
         let mut auth = AuthTags::new(&key);
         // Retro-tag whatever already sits on media: everything written
         // before hardening is trusted as-is and covered from here on.
@@ -424,6 +423,14 @@ impl PathOram {
         // the first adversarial round.
         self.engine.persist_root(auth.root());
         self.auth = Some(auth);
+    }
+
+    /// `true` when the replay adversary's snapshot store is armed: a
+    /// fault plan with `stale_replay`, `cross_splice` or `read_replay`
+    /// above zero is installed, so every overwritten unit's previous
+    /// version is kept for re-serving.
+    pub fn replay_snapshots_armed(&self) -> bool {
+        self.history.is_some()
     }
 
     /// Ground-truth injection counters of the installed fault plan, if any.

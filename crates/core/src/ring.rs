@@ -33,7 +33,7 @@ use psoram_nvm::{
 };
 use psoram_obsv::{Event, Phase, Tap};
 
-use crate::auth::{AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
+use crate::auth::{device_key, AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
 use crate::block::Block;
 use crate::crash::{CrashPoint, RecoveryError, RecoveryReport};
 use crate::engine::{
@@ -374,16 +374,15 @@ impl RingOram {
     /// defenses, preserving the differential campaigns' detection power.
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
         self.engine.install_fault_plan(seed, cfg);
-        // The replay adversary's snapshot store goes on every variant —
-        // the Baseline is replayed too, it just cannot tell.
-        self.history = Some(UnitHistory::default());
+        // The replay adversary's snapshot store goes on every variant
+        // whose plan can replay or splice — the Baseline is replayed too,
+        // it just cannot tell. Other plans never re-serve a snapshot, so
+        // they skip the copy of every overwritten unit.
+        self.history = cfg.arms_replay().then(UnitHistory::default);
         if self.variant != RingVariant::PsRing {
             return;
         }
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&seed.rotate_left(17).to_le_bytes());
-        key[0] ^= 0xA7;
+        let key = device_key(seed);
         let mut auth = AuthTags::new(&key);
         // Retro-tag whatever already sits on media: everything written
         // before hardening is trusted as-is and covered from here on.
@@ -407,6 +406,12 @@ impl RingOram {
         // the first adversarial round.
         self.engine.persist_root(auth.root());
         self.auth = Some(auth);
+    }
+
+    /// `true` when the replay adversary's snapshot store is armed (see
+    /// [`crate::PathOram::replay_snapshots_armed`]).
+    pub fn replay_snapshots_armed(&self) -> bool {
+        self.history.is_some()
     }
 
     /// Ground-truth injection counters of the installed fault plan, if any.

@@ -215,3 +215,107 @@ fn transient_read_faults_surface_in_fault_stats() {
         "aggressive plan served {served} accesses without a read fault"
     );
 }
+
+/// Every design, hardened or not, on both controllers — the replay
+/// adversary attacks baselines too.
+fn all_designs(seed: u64) -> Vec<Box<dyn ProtocolPolicy>> {
+    let mut v: Vec<Box<dyn ProtocolPolicy>> = ProtocolVariant::all()
+        .into_iter()
+        .map(|p| Box::new(PathOram::new(OramConfig::small_test(), p, seed)) as _)
+        .collect();
+    for variant in [RingVariant::PsRing, RingVariant::Baseline] {
+        v.push(Box::new(RingOram::new(
+            RingConfig::small_test(),
+            variant,
+            seed,
+        )));
+    }
+    v
+}
+
+/// FNV-1a over a campaign transcript.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A `replay_mix()` crash campaign over every design: each recovery
+/// report, the injected-fault ground truth, the freshness counters, the
+/// simulated clock and the state digest, in one transcript. Its digest
+/// is pinned to the value the campaign produced before the freshness
+/// path was optimised, so the report stays byte-identical.
+#[test]
+fn replay_mix_campaign_report_is_pinned() {
+    let mut transcript = String::new();
+    let mut attacks = 0;
+    for seed in [5u64, 41] {
+        for mut oram in all_designs(seed) {
+            assert!(drive(oram.as_mut(), seed, 30), "clean warmup poisoned");
+            oram.enable_device_faults(seed ^ 0x5EED, FaultConfig::replay_mix());
+            for round in 0..10u64 {
+                let live = drive(oram.as_mut(), seed + round * 13, 15);
+                oram.crash_now();
+                let report = oram.recover();
+                transcript += &format!("{} r{round} live={live} {report:?}\n", oram.label());
+            }
+            let faults = oram.device_fault_stats().unwrap_or_default();
+            attacks += faults.stale_replays + faults.cross_splices + faults.read_replays;
+            transcript += &format!(
+                "{} faults={:?} fresh={:?} clock={} digest={:032x} poisoned={:?}\n",
+                oram.label(),
+                oram.device_fault_stats(),
+                oram.freshness_stats(),
+                oram.clock(),
+                oram.state_digest(),
+                oram.poisoned(),
+            );
+        }
+    }
+    assert!(attacks > 20, "the campaign must land replays: {attacks}");
+    assert_eq!(
+        format!("{:016x}", fnv1a(&transcript)),
+        "bf62eea3bd675acf",
+        "replay_mix campaign transcript changed"
+    );
+}
+
+/// The replay adversary's snapshot store (a copy of every overwritten
+/// unit) is armed only by a plan that can replay or splice, on Path and
+/// Ring alike, hardened or baseline.
+#[test]
+fn replay_snapshot_store_armed_only_when_replay_can_fire() {
+    let plans = [
+        (FaultConfig::disabled(), false),
+        (FaultConfig::campaign_default(), false),
+        (FaultConfig::replay_mix(), true),
+        (
+            FaultConfig {
+                cross_splice: 0.1,
+                ..FaultConfig::disabled()
+            },
+            true,
+        ),
+        (
+            FaultConfig {
+                read_replay: 0.1,
+                ..FaultConfig::disabled()
+            },
+            true,
+        ),
+    ];
+    for (cfg, armed) in plans {
+        for variant in [ProtocolVariant::PsOram, ProtocolVariant::Baseline] {
+            let mut path = PathOram::new(OramConfig::small_test(), variant, 9);
+            assert!(!path.replay_snapshots_armed());
+            path.enable_device_faults(9, cfg);
+            assert_eq!(path.replay_snapshots_armed(), armed, "{variant:?} {cfg:?}");
+        }
+        for variant in [RingVariant::PsRing, RingVariant::Baseline] {
+            let mut ring = RingOram::new(RingConfig::small_test(), variant, 9);
+            assert!(!ring.replay_snapshots_armed());
+            ring.enable_device_faults(9, cfg);
+            assert_eq!(ring.replay_snapshots_armed(), armed, "{variant:?} {cfg:?}");
+        }
+    }
+}

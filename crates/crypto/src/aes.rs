@@ -1,16 +1,27 @@
-//! AES-128 block cipher (FIPS-197), T-table fast path.
+//! AES-128 block cipher (FIPS-197): a hardware kernel chosen at run time,
+//! with a portable T-table fallback.
 //!
-//! The encryption round is implemented with the classic four precomputed
-//! 32-bit lookup tables (`Te0..Te3`), each entry combining SubBytes,
-//! ShiftRows, and MixColumns for one state byte; a round is then sixteen
-//! table loads, sixteen XORs, and the round key. The tables are generated at
-//! compile time from the S-box, and equivalence with the specification is
-//! enforced against the byte-wise [`crate::ReferenceAes128`] cipher by
-//! known-answer vectors plus proptest over random keys and blocks.
+//! When [`Aes128::new`] expands a key it checks whether the host CPU has
+//! AES-NI (`is_x86_feature_detected!("aes")`, a cached flag). If it does,
+//! [`Aes128::encrypt_block`] runs the AES-NI kernel; otherwise it runs the
+//! T-table cipher. Both paths share one key schedule and return the same
+//! bytes, and both stay callable on their own
+//! ([`Aes128::encrypt_block_aesni`], [`Aes128::encrypt_block_ttable`]) so
+//! each is checked against the byte-wise [`crate::ReferenceAes128`] oracle
+//! on every host, by known-answer vectors plus proptest over random keys
+//! and blocks.
+//!
+//! The T-table round uses the classic four precomputed 32-bit lookup tables
+//! (`Te0..Te3`), each entry combining SubBytes, ShiftRows, and MixColumns
+//! for one state byte; a round is then sixteen table loads, sixteen XORs,
+//! and the round key. The tables are generated at compile time from the
+//! S-box.
 //!
 //! Functional throughput is independent of the *timing* model, which charges
-//! a fixed 32-cycle latency per AES operation regardless of how fast the
-//! simulator computes it (see [`crate::CryptoLatencyModel`]).
+//! a fixed 32-cycle latency per AES operation regardless of which kernel
+//! computes it or how fast (see [`crate::CryptoLatencyModel`]).
+
+use crate::aes_ni::AesNi;
 
 /// The AES S-box (forward substitution table), from FIPS-197 Figure 7.
 pub(crate) const SBOX: [u8; 256] = [
@@ -92,8 +103,8 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     round_keys
 }
 
-/// An AES-128 block cipher with a pre-expanded key schedule (T-table fast
-/// path).
+/// An AES-128 block cipher with a pre-expanded key schedule, encrypting on
+/// AES-NI when the host has it and with T-tables otherwise.
 ///
 /// The cipher only exposes block *encryption*: ORAM uses AES exclusively in
 /// counter mode, where decryption is the same keystream XOR.
@@ -125,6 +136,9 @@ pub struct Aes128 {
     /// The same schedule as 44 big-endian words, consumed by the T-table
     /// round loop.
     ek: [u32; 44],
+    /// Present when the host CPU has AES-NI; selects the hardware kernel,
+    /// which consumes `round_keys` directly.
+    ni: Option<AesNi>,
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -146,7 +160,8 @@ impl Aes128 {
             let c = (i % 4) * 4;
             *word = u32::from_be_bytes([rk[c], rk[c + 1], rk[c + 2], rk[c + 3]]);
         }
-        Aes128 { round_keys, ek }
+        let ni = AesNi::detect();
+        Aes128 { round_keys, ek, ni }
     }
 
     /// Internal view of the expanded key schedule (for the inverse cipher).
@@ -154,8 +169,29 @@ impl Aes128 {
         &self.round_keys
     }
 
-    /// Encrypts one 16-byte block and returns the ciphertext block.
+    /// Encrypts one 16-byte block and returns the ciphertext block, on the
+    /// AES-NI kernel when the host has it and on the T-table cipher
+    /// otherwise.
+    #[inline]
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        match self.ni {
+            Some(ni) => ni.encrypt_block(&self.round_keys, block),
+            None => self.encrypt_block_ttable(block),
+        }
+    }
+
+    /// Encrypts one block on the AES-NI kernel, or returns `None` when the
+    /// host CPU lacks AES-NI. [`Aes128::encrypt_block`] already picks this
+    /// path when it can; this entry point exists so tests can check the
+    /// hardware kernel on its own.
+    pub fn encrypt_block_aesni(&self, block: &[u8; 16]) -> Option<[u8; 16]> {
+        self.ni.map(|ni| ni.encrypt_block(&self.round_keys, block))
+    }
+
+    /// Encrypts one block on the portable T-table cipher, whatever the
+    /// host. This is the fallback [`Aes128::encrypt_block`] uses without
+    /// AES-NI.
+    pub fn encrypt_block_ttable(&self, block: &[u8; 16]) -> [u8; 16] {
         let ek = &self.ek;
         let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ ek[0];
         let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ ek[1];
@@ -215,6 +251,17 @@ mod tests {
     use super::*;
     use crate::ReferenceAes128;
 
+    /// Checks a known-answer vector on the T-table kernel, on the AES-NI
+    /// kernel when the host has it, and through the dispatcher.
+    fn assert_kat(key: &[u8; 16], pt: &[u8; 16], expected: &[u8; 16]) {
+        let aes = Aes128::new(key);
+        assert_eq!(&aes.encrypt_block_ttable(pt), expected, "t-table");
+        if let Some(ct) = aes.encrypt_block_aesni(pt) {
+            assert_eq!(&ct, expected, "aes-ni");
+        }
+        assert_eq!(&aes.encrypt_block(pt), expected, "dispatched");
+    }
+
     /// FIPS-197 Appendix B: full example vector.
     #[test]
     fn fips197_appendix_b() {
@@ -230,7 +277,7 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        assert_kat(&key, &pt, &expected);
     }
 
     /// FIPS-197 Appendix C.1: AES-128 known-answer test.
@@ -242,7 +289,7 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        assert_kat(&key, &pt, &expected);
     }
 
     /// NIST SP 800-38A F.1.1 ECB-AES128 first block.
@@ -260,7 +307,7 @@ mod tests {
             0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
             0xef, 0x97,
         ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        assert_kat(&key, &pt, &expected);
     }
 
     #[test]
@@ -294,11 +341,8 @@ mod tests {
         for seed in 0u8..32 {
             let key: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(seed ^ 0x5f));
             let pt: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_add(seed));
-            assert_eq!(
-                Aes128::new(&key).encrypt_block(&pt),
-                ReferenceAes128::new(&key).encrypt_block(&pt),
-                "mismatch at seed {seed}"
-            );
+            let expected = ReferenceAes128::new(&key).encrypt_block(&pt);
+            assert_kat(&key, &pt, &expected);
         }
     }
 

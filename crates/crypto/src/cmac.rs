@@ -51,35 +51,33 @@ impl Cmac {
 
     /// Computes the 16-byte CMAC tag of `msg`.
     pub fn tag(&self, msg: &[u8]) -> [u8; 16] {
-        let n = msg.len().div_ceil(16).max(1);
-        let complete = msg.len() == n * 16 && !msg.is_empty();
-        let mut x = [0u8; 16];
-        for i in 0..n - 1 {
-            for (j, b) in x.iter_mut().enumerate() {
-                *b ^= msg[i * 16 + j];
-            }
-            x = self.aes.encrypt_block(&x);
+        let mut s = self.stream();
+        s.update(msg);
+        s.finish()
+    }
+
+    /// Starts an incremental tag computation: feed the message in any
+    /// number of [`CmacStream::update`] calls, then [`CmacStream::finish`].
+    /// The tag depends only on the concatenated input, not on how it was
+    /// split, and the message is never assembled: at most four blocks wait
+    /// in the stream before they are chained.
+    ///
+    /// ```
+    /// use psoram_crypto::{Aes128, Cmac};
+    ///
+    /// let mac = Cmac::new(Aes128::new(&[3u8; 16]));
+    /// let mut s = mac.stream();
+    /// s.update(b"oram block ");
+    /// s.update(b"payload");
+    /// assert_eq!(s.finish(), mac.tag(b"oram block payload"));
+    /// ```
+    pub fn stream(&self) -> CmacStream<'_> {
+        CmacStream {
+            mac: self,
+            x: [0u8; 16],
+            stage: [0u8; STAGE],
+            staged: 0,
         }
-        // Last block: XOR with K1 (complete) or padded + K2.
-        let mut last = [0u8; 16];
-        let start = (n - 1) * 16;
-        if complete {
-            last.copy_from_slice(&msg[start..start + 16]);
-            for (l, k) in last.iter_mut().zip(&self.k1) {
-                *l ^= k;
-            }
-        } else {
-            let rem = msg.len() - start;
-            last[..rem].copy_from_slice(&msg[start..]);
-            last[rem] = 0x80;
-            for (l, k) in last.iter_mut().zip(&self.k2) {
-                *l ^= k;
-            }
-        }
-        for (b, l) in x.iter_mut().zip(&last) {
-            *b ^= l;
-        }
-        self.aes.encrypt_block(&x)
     }
 
     /// Computes the tag of a multi-part message under a one-byte domain.
@@ -92,13 +90,12 @@ impl Cmac {
     /// domain byte keeps slot, PosMap, and counter-tree tags in disjoint
     /// message spaces under one key.
     pub fn tag_parts(&self, domain: u8, parts: &[&[u8]]) -> [u8; 16] {
-        let mut msg = Vec::with_capacity(1 + parts.iter().map(|p| 8 + p.len()).sum::<usize>());
-        msg.push(domain);
+        let mut s = self.stream();
+        s.update(&[domain]);
         for p in parts {
-            msg.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            msg.extend_from_slice(p);
+            s.part(p);
         }
-        self.tag(&msg)
+        s.finish()
     }
 
     /// Constant-shape verification of a tag.
@@ -110,6 +107,102 @@ impl Cmac {
         }
         diff == 0
     }
+}
+
+/// Message bytes a [`CmacStream`] stages before chaining them through the
+/// cipher (four blocks).
+const STAGE: usize = 64;
+
+/// An in-progress CMAC computation (see [`Cmac::stream`]).
+///
+/// Input collects in a small stage, so a short field costs one store;
+/// full blocks are only chained through the cipher once more input shows
+/// that none of them is the last, because RFC 4493 treats the final block
+/// specially (K1 when complete, padding and K2 otherwise).
+#[derive(Debug, Clone)]
+pub struct CmacStream<'a> {
+    mac: &'a Cmac,
+    /// Chaining value over the blocks chained so far.
+    x: [u8; 16],
+    /// Message bytes not yet chained; `stage[..staged]` is live.
+    stage: [u8; STAGE],
+    staged: usize,
+}
+
+impl CmacStream<'_> {
+    /// Absorbs the next `data` bytes of the message.
+    #[inline(always)]
+    pub fn update(&mut self, data: &[u8]) {
+        // Inlined fast path: a short field is one store into the stage.
+        if data.len() <= STAGE - self.staged {
+            self.stage[self.staged..self.staged + data.len()].copy_from_slice(data);
+            self.staged += data.len();
+        } else {
+            self.update_spilling(data);
+        }
+    }
+
+    /// [`CmacStream::update`] for input that overflows the stage.
+    #[inline(never)]
+    fn update_spilling(&mut self, mut data: &[u8]) {
+        loop {
+            let take = (STAGE - self.staged).min(data.len());
+            self.stage[self.staged..self.staged + take].copy_from_slice(&data[..take]);
+            self.staged += take;
+            data = &data[take..];
+            if data.is_empty() {
+                return;
+            }
+            // The stage is full and more input follows, so none of its
+            // blocks is the last.
+            self.chain(STAGE);
+            self.staged = 0;
+        }
+    }
+
+    /// Chains the first `len` staged bytes (whole blocks).
+    fn chain(&mut self, len: usize) {
+        let (blocks, _) = self.stage[..len].as_chunks::<16>();
+        for block in blocks {
+            self.x = self.mac.aes.encrypt_block(&xor16(&self.x, block));
+        }
+    }
+
+    /// Absorbs `bytes` as one length-prefixed part: its little-endian `u64`
+    /// length, then the bytes — the framing [`Cmac::tag_parts`] applies to
+    /// each of its parts.
+    #[inline(always)]
+    pub fn part(&mut self, bytes: &[u8]) {
+        self.update(&(bytes.len() as u64).to_le_bytes());
+        self.update(bytes);
+    }
+
+    /// Completes the message and returns its tag.
+    pub fn finish(mut self) -> [u8; 16] {
+        // Chain every staged block but the last. The last block (possibly
+        // empty) takes K1 when complete, otherwise 0x80 0x00.. padding and
+        // K2.
+        let chained = self.staged.saturating_sub(1) / 16 * 16;
+        self.chain(chained);
+        let rest = &self.stage[chained..self.staged];
+        let mut last = [0u8; 16];
+        last[..rest.len()].copy_from_slice(rest);
+        let k = if rest.len() == 16 {
+            &self.mac.k1
+        } else {
+            last[rest.len()] = 0x80;
+            &self.mac.k2
+        };
+        self.mac
+            .aes
+            .encrypt_block(&xor16(&xor16(&self.x, &last), k))
+    }
+}
+
+/// Bytewise XOR of two blocks.
+#[inline]
+fn xor16(a: &[u8; 16], b: &[u8; 16]) -> [u8; 16] {
+    (u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)).to_ne_bytes()
 }
 
 #[cfg(test)]

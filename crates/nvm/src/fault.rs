@@ -214,6 +214,14 @@ impl FaultConfig {
         Self::campaign_default().with_wear()
     }
 
+    /// `true` when the replay/splice adversary is armed: any of
+    /// `stale_replay`, `cross_splice` or `read_replay` is above zero. Only
+    /// then does a controller keep the snapshots of overwritten units that
+    /// the adversary re-serves.
+    pub fn arms_replay(&self) -> bool {
+        self.stale_replay > 0.0 || self.cross_splice > 0.0 || self.read_replay > 0.0
+    }
+
     /// `true` when every probability is zero.
     pub fn is_disabled(&self) -> bool {
         self.torn_flush == 0.0
