@@ -40,12 +40,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use psoram_crypto::{Aes128, Cmac};
 
 use crate::block::Block;
+use crate::coord::CoordMap;
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
 
@@ -68,42 +66,6 @@ const SLOT_REAL: u8 = 0xB1;
 /// the leading byte, addr, leaf, iv1, iv2 and seq (8 each), the backup
 /// flag (1) and the payload length (8).
 const SLOT_REAL_FIXED_BYTES: u64 = 50;
-
-/// A deterministic multiply-rotate [`Hasher`] for the freshness maps.
-///
-/// Their keys are simulator coordinates (bucket indices, slot numbers,
-/// block addresses), never attacker-chosen input, so SipHash's flooding
-/// resistance buys nothing and its cost sits on the hot path. No output
-/// depends on map order: every iteration over these maps sorts first.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CoordHasher(u64);
-
-impl Hasher for CoordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply mixes upward; rotate the well-mixed high bits into
-        // the low bits that pick the table position.
-        self.0.rotate_left(26)
-    }
-}
-
-/// A `HashMap` keyed by simulator coordinates, hashed with [`CoordHasher`].
-pub(crate) type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
 
 /// The device key a controller arms its freshness layer and WPQ frame
 /// seals with, derived from the fault-plan seed.

@@ -1,8 +1,6 @@
 //! The ORAM controller: Path ORAM access protocol, the PS-ORAM
 //! crash-consistent variants, crash injection and recovery.
 
-use std::collections::{HashMap, HashSet};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,6 +14,7 @@ use psoram_obsv::{Event, Phase, Tap};
 use crate::auth::{device_key, AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
 use crate::block::Block;
 use crate::bucket::Bucket;
+use crate::coord::{CoordMap, CoordSet};
 use crate::crash::{CrashPoint, CrashReport, RecoveryError, RecoveryReport};
 use crate::engine::{
     to_core, to_mem, AccessScratch, CommitLedger, PersistEngine, RoundDamage, WearReadOutcome,
@@ -97,7 +96,7 @@ pub struct PathOram {
     stats: OramStats,
     /// Written-vs-committed value ledgers (the recoverability oracle).
     ledger: CommitLedger,
-    touched: HashSet<u64>,
+    touched: CoordSet<u64>,
     recorder: Option<AccessRecorder>,
     /// Observability tap (distinct from the security `recorder` above):
     /// phase/round/WPQ/NVM events, shared with the engine and the NVM.
@@ -198,7 +197,7 @@ impl PathOram {
             clock: 0,
             stats: OramStats::default(),
             ledger: CommitLedger::new(),
-            touched: HashSet::new(),
+            touched: CoordSet::default(),
             recorder: None,
             obsv: Tap::detached(),
             encrypt_payloads: true,
@@ -332,7 +331,7 @@ impl PathOram {
         // Fold in whatever already exists (enabling mid-run is allowed).
         let updates: Vec<(u64, psoram_crypto::Digest)> = (0..self.tree.num_buckets())
             .filter(|&i| !self.tree.bucket(i).is_empty())
-            .map(|i| (i, bucket_digest(&self.tree.bucket(i))))
+            .map(|i| (i, bucket_digest(self.tree.bucket(i))))
             .collect();
         tree.update_buckets(&updates);
         self.integrity = Some(tree);
@@ -353,7 +352,7 @@ impl PathOram {
             .tree
             .path_indices(leaf)
             .into_iter()
-            .map(|idx| (idx, bucket_digest(&self.tree.bucket(idx))))
+            .map(|idx| (idx, bucket_digest(self.tree.bucket(idx))))
             .collect();
         if let Some(integrity) = self.integrity.as_mut() {
             integrity.update_buckets(&updates);
@@ -699,7 +698,7 @@ impl PathOram {
             })?
             .payload
             .clone();
-        self.ledger.note_written(addr.0, value.clone());
+        self.ledger.note_written(addr.0, &value);
         t += 2; // header update + (possible) backup copy, pipelined SRAM ops
         let value_ready = t;
         self.obsv.set_now(t);
@@ -736,7 +735,7 @@ impl PathOram {
             // access is durable (atomicity within an access is the gap the
             // crash tests expose).
             self.ledger
-                .commit_if_fresh(addr.0, self.seq_counter, value.clone());
+                .commit_if_fresh(addr.0, self.seq_counter, &value);
         }
         self.stats.total_access_cycles += value_ready - arrival;
 
@@ -845,7 +844,7 @@ impl PathOram {
         target: BlockAddr,
         leaf: Leaf,
         t: u64,
-    ) -> Result<(HashMap<(u64, usize), BlockAddr>, u64), OramError> {
+    ) -> Result<(CoordMap<(u64, usize), BlockAddr>, u64), OramError> {
         // Transient media read errors (device-fault mode): bounded retry
         // with exponential backoff re-issues the path load; a stuck line
         // exhausts the retries and latches the fail-safe poisoned state.
@@ -905,7 +904,7 @@ impl PathOram {
         if let Some(int) = &self.integrity {
             let observed: Vec<(u64, psoram_crypto::Digest)> = path
                 .iter()
-                .map(|&idx| (idx, bucket_digest(&self.tree.bucket(idx))))
+                .map(|&idx| (idx, bucket_digest(self.tree.bucket(idx))))
                 .collect();
             int.verify_path(leaf, &observed)
                 .map_err(|v| OramError::IntegrityViolation { leaf: v.leaf })?;
@@ -1024,7 +1023,7 @@ impl PathOram {
         // Gather fetched blocks with their slot coordinates. An undetected
         // stale serve (baselines) replaces the slot's bytes right here —
         // the controller consumes what the wire delivered.
-        let mut live_old: HashMap<(u64, usize), BlockAddr> = HashMap::new();
+        let mut live_old: CoordMap<(u64, usize), BlockAddr> = CoordMap::default();
         let mut fetched = std::mem::take(&mut self.scratch.fetched);
         fetched.clear();
         for &bucket in &path {
@@ -1096,9 +1095,11 @@ impl PathOram {
                 block.is_backup = false;
                 self.stash.insert(block)?;
             } else if keep_shadows && block.leaf() == self.posmap.persisted_get(a) {
-                let shadow = block.to_backup(block.leaf());
+                // The fetched copy itself becomes the shadow, pinned to the
+                // leaf it already names.
+                block.is_backup = true;
                 self.stats.shadows_rewritten += 1;
-                self.stash.insert(shadow)?;
+                self.stash.insert(block)?;
             }
             // else: dead copy, dropped.
         }
@@ -1120,7 +1121,7 @@ impl PathOram {
     fn step5_evict(
         &mut self,
         leaf: Leaf,
-        live_old: &mut HashMap<(u64, usize), BlockAddr>,
+        live_old: &mut CoordMap<(u64, usize), BlockAddr>,
         mut t: u64,
     ) -> Result<u64, OramError> {
         // Rcr-PS-ORAM additionally persists the stash's (dirty) real blocks
@@ -1135,7 +1136,7 @@ impl PathOram {
         // Candidates: the whole stash. Blocks fetched from this path
         // (backups/shadows pinned here, plus primaries whose live copy the
         // rewrite destroys) must be re-placed; the rest are opportunistic.
-        let on_path_live: HashSet<u64> = live_old.values().map(|a| a.0).collect();
+        let on_path_live: CoordSet<u64> = live_old.values().map(|a| a.0).collect();
         let all = self.stash.drain_matching(|_| true);
         let (must, opportunistic): (Vec<Block>, Vec<Block>) = if self.variant.uses_wpq() {
             // Must-place: backups/shadows (pinned to this path) and fetched
@@ -1278,7 +1279,7 @@ impl PathOram {
     fn evict_through_wpq(
         &mut self,
         plan: crate::eviction::EvictionPlan,
-        live_old: &HashMap<(u64, usize), BlockAddr>,
+        live_old: &CoordMap<(u64, usize), BlockAddr>,
         mut t: u64,
     ) -> Result<u64, OramError> {
         self.stats.eviction_rounds += 1;
@@ -1300,14 +1301,13 @@ impl PathOram {
         // entries (Naïve).
         let naive = self.variant == ProtocolVariant::NaivePsOram;
 
-        // Does the whole round fit in one atomic batch?
-        let real_count = plan.real_blocks();
-        let batches: Vec<Vec<SlotWrite>> = if real_count <= self.config.data_wpq_capacity {
-            let (reals, dummies): (Vec<SlotWrite>, Vec<SlotWrite>) =
-                plan.writes.iter().cloned().partition(|w| w.block.is_some());
-            let mut b = vec![reals];
-            b[0].extend(dummies);
-            b
+        // Does the whole round fit in one atomic batch? Then the batch is
+        // the plan itself, real writes first and dummies after, moved.
+        let batches: Vec<Vec<SlotWrite>> = if plan.real_blocks() <= self.config.data_wpq_capacity {
+            let (mut reals, dummies): (Vec<SlotWrite>, Vec<SlotWrite>) =
+                plan.writes.into_iter().partition(|w| w.block.is_some());
+            reals.extend(dummies);
+            vec![reals]
         } else {
             order_for_small_wpq(&plan.writes, live_old, self.config.data_wpq_capacity).map_err(
                 |_| OramError::Invariant {
@@ -1323,17 +1323,20 @@ impl PathOram {
         write_addrs.clear();
         let mut entry_addrs = std::mem::take(&mut self.scratch.entry_addrs);
         entry_addrs.clear();
+        // The current batch's dummy writes, set aside while its real
+        // writes move into the WPQ.
+        let mut dummies: Vec<SlotWrite> = Vec::new();
         for batch in batches {
             if crash_after_batches == Some(committed_batches) {
                 // Power failure while the next round is being assembled:
                 // model entries mid-push by opening a round, pushing the
                 // batch, and crashing before the end signal.
                 let entries = batch
-                    .iter()
+                    .into_iter()
                     .filter(|w| w.block.is_some())
                     .map(|w| WpqEntry {
                         addr: self.tree.slot_nvm_addr(w.bucket, w.slot),
-                        value: w.clone(),
+                        value: w,
                     })
                     .collect();
                 self.engine.stage_abandoned_round(entries);
@@ -1347,7 +1350,7 @@ impl PathOram {
             // 5-B: drainer start signal; push data and matching metadata.
             self.engine.begin_round()?;
             let mut pushed = 0u64;
-            for w in &batch {
+            for w in batch {
                 // A block's data and its PosMap entry must land in the same
                 // atomic round. If either queue is out of room, stall: commit
                 // and drain what is already pushed (each sub-round is still
@@ -1357,42 +1360,43 @@ impl PathOram {
                     self.engine.note_stall();
                     self.engine.commit_round()?;
                     let (data, posmap) = self.engine.drain();
-                    self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+                    self.apply_committed(data, &posmap, &mut write_addrs, &mut entry_addrs);
                     self.engine.begin_round()?;
                 }
-                let nvm_addr = self.tree.slot_nvm_addr(w.bucket, w.slot);
-                if w.block.is_some() {
-                    self.engine.push_data(WpqEntry {
-                        addr: nvm_addr,
-                        value: w.clone(),
+                let Some(b) = &w.block else {
+                    dummies.push(w);
+                    continue;
+                };
+                // Metadata for this block, taken before the block moves
+                // into the WPQ: the dirty entry (PS-ORAM) of an evicted
+                // primary; Naïve pushes an entry per slot.
+                let entry = if b.is_backup {
+                    None
+                } else {
+                    let a = b.addr();
+                    match self.temp.get(a) {
+                        Some(l) => Some((a, l)),
+                        None if naive => Some((a, b.leaf())),
+                        None => None,
+                    }
+                };
+                self.engine.push_data(WpqEntry {
+                    addr: self.tree.slot_nvm_addr(w.bucket, w.slot),
+                    value: w,
+                })?;
+                pushed += 1;
+                if let Some((a, l)) = entry {
+                    self.engine.push_posmap(WpqEntry {
+                        addr: self.posmap_entry_nvm_addr(a),
+                        value: (a, l),
                     })?;
                     pushed += 1;
-                }
-                // Metadata for this batch: dirty entries (PS-ORAM) of
-                // evicted primaries; Naïve pushes an entry per slot.
-                if let Some(b) = &w.block {
-                    if !b.is_backup {
-                        let a = b.addr();
-                        if let Some(l) = self.temp.get(a) {
-                            self.engine.push_posmap(WpqEntry {
-                                addr: self.posmap_entry_nvm_addr(a),
-                                value: (a, l),
-                            })?;
-                            pushed += 1;
-                        } else if naive {
-                            self.engine.push_posmap(WpqEntry {
-                                addr: self.posmap_entry_nvm_addr(a),
-                                value: (a, b.leaf()),
-                            })?;
-                            pushed += 1;
-                        }
-                    }
                 }
             }
             if naive {
                 // Naïve also flushes a metadata entry per dummy slot, so the
                 // full Z·(L+1) PosMap entries reach the NVM every round.
-                for w in batch.iter().filter(|w| w.block.is_none()) {
+                for w in &dummies {
                     self.stats.posmap_entry_writes += 1;
                     entry_addrs.push(self.naive_slot_entry_addr(w));
                 }
@@ -1403,11 +1407,11 @@ impl PathOram {
             // 5-C: end signal — the atomic commit point — then flush.
             self.engine.commit_round()?;
             let (data, posmap) = self.engine.drain();
-            self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+            self.apply_committed(data, &posmap, &mut write_addrs, &mut entry_addrs);
             // Dummy slots of this batch are rewritten directly after the
             // commit: they carry no recoverable data and only overwrite
             // copies whose addresses committed in this or earlier batches.
-            for w in batch.iter().filter(|w| w.block.is_none()) {
+            for w in dummies.drain(..) {
                 if self.history.is_some() {
                     let prev_content = self.tree.bucket(w.bucket).slot(w.slot).cloned();
                     let prev_meta = self
@@ -1455,11 +1459,12 @@ impl PathOram {
         Ok(t_end)
     }
 
-    /// Applies one committed WPQ round to the NVM state: tree slots, main
-    /// PosMap, temp-entry retirement, and the committed-value ledger.
+    /// Applies one committed WPQ round to the NVM state, moving each
+    /// drained block into its tree slot: tree slots, main PosMap,
+    /// temp-entry retirement, and the committed-value ledger.
     fn apply_committed(
         &mut self,
-        data: &[WpqEntry<SlotWrite>],
+        data: Vec<WpqEntry<SlotWrite>>,
         posmap: &[WpqEntry<PosMapFlush>],
         write_addrs: &mut Vec<u64>,
         entry_addrs: &mut Vec<u64>,
@@ -1468,8 +1473,6 @@ impl PathOram {
         // carry the real blocks, and the remaining slots of the same
         // buckets are written as encrypted dummies by the same round. For
         // traffic/timing, the whole path's slots are pushed by the caller.
-        let mut touched_addrs = std::mem::take(&mut self.scratch.touched_addrs);
-        touched_addrs.clear();
         let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
         if device {
             // This round becomes the one whose media programming a crash
@@ -1478,31 +1481,45 @@ impl PathOram {
             self.last_round_posmap.clear();
         }
         for e in data {
-            let w = &e.value;
-            let mut stored = w.block.clone();
+            let SlotWrite {
+                bucket,
+                slot,
+                block: mut stored,
+            } = e.value;
             if let Some(b) = &mut stored {
-                touched_addrs.push(b.addr());
+                // Ledger: a copy is the address's recoverable value when its
+                // leaf matches the post-round persisted PosMap — the round's
+                // last entry for the address, else the durable one. Several
+                // copies can match (a primary that re-drew its old leaf plus
+                // its backup); committing them in round order keeps the
+                // newest, the later copy on a tie, as recovery would.
+                let a = b.addr();
+                let persisted = posmap
+                    .iter()
+                    .rev()
+                    .find(|p| p.value.0 == a)
+                    .map_or_else(|| self.posmap.persisted_get(a), |p| p.value.1);
+                if b.leaf() == persisted {
+                    self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
+                }
                 self.encrypt_for_tree(b);
             }
             if self.history.is_some() {
                 // Snapshot the (content, record) pair this round replaces:
                 // the coherent stale unit a replay adversary re-serves.
-                let prev_content = self.tree.bucket(w.bucket).slot(w.slot).cloned();
-                let prev_meta = self
-                    .auth
-                    .as_ref()
-                    .and_then(|a| a.slot_record(w.bucket, w.slot));
+                let prev_content = self.tree.bucket(bucket).slot(slot).cloned();
+                let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
                 if let Some(h) = self.history.as_mut() {
-                    h.note_slot(w.bucket, w.slot, prev_content, prev_meta);
+                    h.note_slot(bucket, slot, prev_content, prev_meta);
                 }
             }
             if let Some(auth) = &mut self.auth {
-                auth.record_slot(w.bucket, w.slot, stored.as_ref());
+                auth.record_slot(bucket, slot, stored.as_ref());
             }
             if device {
-                self.last_round_slots.push((w.bucket, w.slot));
+                self.last_round_slots.push((bucket, slot));
             }
-            self.tree.write_slot(w.bucket, w.slot, stored);
+            self.tree.write_slot(bucket, slot, stored);
             write_addrs.push(e.addr);
         }
         for e in posmap {
@@ -1537,24 +1554,6 @@ impl PathOram {
             // now leaves its counter behind the anchored root.
             self.engine.persist_root(auth.root());
         }
-        // Ledger: the recoverable value of each touched address is the
-        // written copy that matches the (new) persisted PosMap.
-        for &a in &touched_addrs {
-            let leaf = self.posmap.persisted_get(a);
-            // Multiple matching copies can commit in one round (a primary
-            // that re-drew its old leaf plus its backup): the newest one —
-            // highest freshness counter — is what recovery restores.
-            let newest = data
-                .iter()
-                .filter_map(|e| e.value.block.as_ref())
-                .filter(|b| b.addr() == a && b.leaf() == leaf)
-                .max_by_key(|b| b.header.seq);
-            if let Some(b) = newest {
-                self.ledger
-                    .commit_if_fresh(a.0, b.header.seq, b.payload.clone());
-            }
-        }
-        self.scratch.touched_addrs = touched_addrs;
     }
 
     /// Metadata-entry address Naïve writes for a dummy slot. Dummy entries
@@ -1598,7 +1597,7 @@ impl PathOram {
             wpq_posmap_flushed: posmap.len(),
             stash_durable,
         };
-        self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+        self.apply_committed(data, &posmap, &mut write_addrs, &mut entry_addrs);
         if !stash_durable {
             self.stash.wipe();
             self.temp.wipe();
@@ -1807,8 +1806,7 @@ impl PathOram {
             // convicted slot is wiped; any committed value it held is
             // restored from an authenticated redundant copy in phase 3.
             for (bucket, slot) in auth.tagged_slots_sorted() {
-                let content = self.tree.bucket(bucket).slot(slot).cloned();
-                match auth.verdict_slot(bucket, slot, content.as_ref()) {
+                match auth.verdict_slot(bucket, slot, self.tree.bucket(bucket).slot(slot)) {
                     FreshnessVerdict::Clean => {}
                     verdict => {
                         match verdict {
@@ -1921,21 +1919,8 @@ impl PathOram {
             |a| {
                 let addr = BlockAddr(a);
                 let leaf = self.posmap.persisted_get(addr);
-                let mut best: Option<Block> = None;
-                for idx in self.tree.path_indices(leaf) {
-                    let bucket = self.tree.bucket(idx);
-                    for s in 0..bucket.num_slots() {
-                        if let Some(b) = bucket.slot(s) {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b.clone());
-                            }
-                        }
-                    }
-                }
-                let found = best.map(|mut copy| {
+                let found = self.newest_on_persisted_path(addr, leaf).map(|copy| {
+                    let mut copy = copy.clone();
                     self.decrypt_from_tree(&mut copy);
                     copy.payload
                 });
@@ -1954,17 +1939,35 @@ impl PathOram {
     /// anywhere on media that passes slot authentication. Deterministic:
     /// buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<Block> {
-        let mut best: Option<Block> = None;
+        let mut best: Option<&Block> = None;
         for idx in self.tree.materialized_indices() {
             let bucket = self.tree.bucket(idx);
             for s in 0..bucket.num_slots() {
                 if let Some(b) = bucket.slot(s) {
                     if b.addr() == addr
                         && auth.verify_slot(idx, s, Some(b))
-                        && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
+                        && best.is_none_or(|x| b.header.seq > x.header.seq)
                     {
-                        best = Some(b.clone());
+                        best = Some(b);
                     }
+                }
+            }
+        }
+        best.cloned()
+    }
+
+    /// The copy recovery restores for `addr`: among the copies on the
+    /// persisted path `leaf` whose header names that leaf, the newest
+    /// (highest freshness counter, earliest in path order on a tie).
+    fn newest_on_persisted_path(&self, addr: BlockAddr, leaf: Leaf) -> Option<&Block> {
+        let mut best: Option<&Block> = None;
+        for idx in self.tree.path_indices(leaf) {
+            for b in self.tree.bucket(idx).blocks() {
+                if b.addr() == addr
+                    && b.leaf() == leaf
+                    && best.is_none_or(|x| b.header.seq > x.header.seq)
+                {
+                    best = Some(b);
                 }
             }
         }
@@ -1993,21 +1996,8 @@ impl PathOram {
                 // Recovery picks, among copies on the persisted path whose
                 // header matches the persisted leaf, the newest one (highest
                 // freshness counter / IV).
-                let mut best: Option<Block> = None;
-                for idx in self.tree.path_indices(leaf) {
-                    let bucket = self.tree.bucket(idx);
-                    for s in 0..bucket.num_slots() {
-                        if let Some(b) = bucket.slot(s) {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b.clone());
-                            }
-                        }
-                    }
-                }
-                let found = best.map(|mut copy| {
+                let found = self.newest_on_persisted_path(addr, leaf).map(|copy| {
+                    let mut copy = copy.clone();
                     self.decrypt_from_tree(&mut copy);
                     copy.payload
                 });

@@ -1,8 +1,9 @@
 //! Written-vs-committed value ledgers shared by the controllers'
 //! recoverability oracles.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
+use crate::coord::CoordMap;
 use crate::types::{BlockAddr, Leaf};
 
 /// Tracks, per logical address, the last program-*written* value and the
@@ -13,12 +14,15 @@ use crate::types::{BlockAddr, Leaf};
 /// backup from an earlier round after the primary from a later one), so
 /// an update only lands if it is at least as fresh as what the ledger
 /// already holds.
+///
+/// Both maps keep one payload buffer per address for the run: recording
+/// a value copies it into that buffer rather than allocating a new one.
 #[derive(Debug, Default)]
 pub struct CommitLedger {
     /// Last value written by the program, per address.
-    written: HashMap<u64, Vec<u8>>,
+    written: CoordMap<u64, Vec<u8>>,
     /// Last durably committed value, keyed by freshness counter.
-    committed: HashMap<u64, (u64, Vec<u8>)>,
+    committed: CoordMap<u64, (u64, Vec<u8>)>,
 }
 
 impl CommitLedger {
@@ -28,19 +32,31 @@ impl CommitLedger {
     }
 
     /// Records the program-visible write of `value` to `addr`.
-    pub fn note_written(&mut self, addr: u64, value: Vec<u8>) {
-        self.written.insert(addr, value);
+    pub fn note_written(&mut self, addr: u64, value: &[u8]) {
+        let slot = self.written.entry(addr).or_default();
+        slot.clear();
+        slot.extend_from_slice(value);
     }
 
     /// Records that a copy of `addr` with freshness `seq` committed
-    /// durably, unless a strictly fresher commit is already recorded.
-    /// Returns `true` if the entry landed.
-    pub fn commit_if_fresh(&mut self, addr: u64, seq: u64, payload: Vec<u8>) -> bool {
-        let stale = self.committed.get(&addr).is_some_and(|(s, _)| *s > seq);
-        if !stale {
-            self.committed.insert(addr, (seq, payload));
+    /// durably, unless a strictly fresher commit is already recorded: on
+    /// a tie the later copy wins. Returns `true` if the entry landed.
+    pub fn commit_if_fresh(&mut self, addr: u64, seq: u64, payload: &[u8]) -> bool {
+        match self.committed.entry(addr) {
+            Entry::Occupied(mut e) => {
+                let (s, v) = e.get_mut();
+                if *s > seq {
+                    return false;
+                }
+                *s = seq;
+                v.clear();
+                v.extend_from_slice(payload);
+            }
+            Entry::Vacant(e) => {
+                e.insert((seq, payload.to_vec()));
+            }
         }
-        !stale
+        true
     }
 
     /// The last durably committed value of `addr`, if any.
@@ -176,15 +192,15 @@ mod tests {
     #[test]
     fn stale_commits_cannot_regress_the_ledger() {
         let mut l = CommitLedger::new();
-        assert!(l.commit_if_fresh(7, 5, vec![5]));
-        assert!(
-            !l.commit_if_fresh(7, 3, vec![3]),
-            "older seq must be rejected"
-        );
+        assert!(l.commit_if_fresh(7, 5, &[5]));
+        assert!(!l.commit_if_fresh(7, 3, &[3]), "older seq must be rejected");
         assert_eq!(l.committed_value(7), Some(&vec![5]));
-        // Equal freshness re-commits (idempotent replay of the same copy).
-        assert!(l.commit_if_fresh(7, 5, vec![5]));
-        assert!(l.commit_if_fresh(7, 9, vec![9]));
+        // Equal freshness re-commits (idempotent replay of the same copy);
+        // two different copies on a tie leave the later one.
+        assert!(l.commit_if_fresh(7, 5, &[5]));
+        assert!(l.commit_if_fresh(7, 5, &[6]));
+        assert_eq!(l.committed_value(7), Some(&vec![6]));
+        assert!(l.commit_if_fresh(7, 9, &[9]));
         assert_eq!(l.committed_value(7), Some(&vec![9]));
         assert_eq!(l.committed_len(), 1);
     }
@@ -192,9 +208,9 @@ mod tests {
     #[test]
     fn audit_collect_reports_every_failure_sorted() {
         let mut l = CommitLedger::new();
-        l.commit_if_fresh(5, 0, vec![5]);
-        l.commit_if_fresh(2, 0, vec![2]);
-        l.commit_if_fresh(9, 0, vec![9]);
+        l.commit_if_fresh(5, 0, &[5]);
+        l.commit_if_fresh(2, 0, &[2]);
+        l.commit_if_fresh(9, 0, &[9]);
         let failures = l.audit_committed_collect(
             "copy",
             |a| (Leaf(0), if a == 2 { Some(vec![2]) } else { None }),
@@ -209,7 +225,7 @@ mod tests {
     #[test]
     fn rollback_regresses_or_forgets() {
         let mut l = CommitLedger::new();
-        l.commit_if_fresh(1, 8, vec![8]);
+        l.commit_if_fresh(1, 8, &[8]);
         l.rollback(1, Some((3, vec![3])));
         assert_eq!(l.committed_value(1), Some(&vec![3]));
         l.rollback(1, None);
@@ -219,7 +235,7 @@ mod tests {
     #[test]
     fn written_and_committed_are_independent() {
         let mut l = CommitLedger::new();
-        l.note_written(1, vec![1]);
+        l.note_written(1, &[1]);
         assert_eq!(l.written_value(1), Some(&vec![1]));
         assert_eq!(l.committed_value(1), None);
         assert_eq!(l.committed_iter().count(), 0);

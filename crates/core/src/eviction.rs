@@ -2,8 +2,10 @@
 //! write-back for small persistence domains.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::block::Block;
+use crate::coord::CoordMap;
 use crate::tree::{BucketIndex, OramTree};
 use crate::types::{BlockAddr, Leaf};
 
@@ -74,29 +76,27 @@ pub fn plan_eviction(
         // Iterate from deepest-eligible to shallowest; place each in the
         // deepest level that still has room.
         for (max_depth, block) in items.into_iter().rev() {
-            let mut placed = false;
-            for d in (0..=max_depth as usize).rev() {
-                if level_fill[d].len() < z {
-                    level_fill[d].push(block.clone());
-                    placed = true;
-                    break;
+            match (0..=max_depth as usize)
+                .rev()
+                .find(|&d| level_fill[d].len() < z)
+            {
+                Some(d) => level_fill[d].push(block),
+                None => {
+                    debug_assert!(
+                        class == 1,
+                        "a must-place block could not be placed on its own path"
+                    );
+                    leftovers.push(block);
                 }
-            }
-            if !placed {
-                debug_assert!(
-                    class == 1,
-                    "a must-place block could not be placed on its own path"
-                );
-                leftovers.push(block);
             }
         }
     }
 
     let mut plan = EvictionPlan::default();
     for (d, bucket) in path.iter().enumerate() {
-        let blocks = std::mem::take(&mut level_fill[d]);
+        let mut blocks = std::mem::take(&mut level_fill[d]).into_iter();
         for slot in 0..z {
-            let block = blocks.get(slot).cloned();
+            let block = blocks.next();
             if let Some(b) = &block {
                 if b.is_backup {
                     plan.evicted_backups.push(b.addr());
@@ -129,25 +129,33 @@ pub fn plan_eviction(
 /// dummies strictly after all real batches.
 ///
 /// `live_slots` maps `(bucket, slot)` to the address whose live copy sits
-/// there (as computed during the path read).
-pub fn plan_eviction_in_place(
+/// there (as computed during the path read). A must block takes the first
+/// free live slot of its address in root-to-leaf, slot-ascending order, so
+/// when two live copies of one address share the path (a primary that
+/// re-drew its old leaf, plus its backup) the assignment does not depend
+/// on the map's iteration order.
+pub fn plan_eviction_in_place<S: BuildHasher>(
     must: Vec<Block>,
     opportunistic: Vec<Block>,
     tree: &OramTree,
     leaf: Leaf,
-    live_slots: &HashMap<(BucketIndex, usize), BlockAddr>,
+    live_slots: &HashMap<(BucketIndex, usize), BlockAddr, S>,
 ) -> (EvictionPlan, Vec<Block>) {
     let z = tree.bucket_slots();
     let path = tree.path_indices(leaf);
+    // The `(bucket, slot)` coordinates at depth `d`, slot-ascending.
+    let slots_from = |d: usize| {
+        let bucket = path[d];
+        (0..z).map(move |s| (bucket, s))
+    };
 
     // Assign must blocks to their own live slots.
-    let mut assigned: HashMap<(BucketIndex, usize), Block> = HashMap::new();
+    let mut assigned: CoordMap<(BucketIndex, usize), Block> = CoordMap::default();
     let mut homeless = Vec::new();
     for block in must {
-        let slot = live_slots
-            .iter()
-            .find(|(k, &a)| a == block.addr() && !assigned.contains_key(*k))
-            .map(|(k, _)| *k);
+        let slot = (0..path.len())
+            .flat_map(slots_from)
+            .find(|k| live_slots.get(k) == Some(&block.addr()) && !assigned.contains_key(k));
         match slot {
             Some(k) => {
                 assigned.insert(k, block);
@@ -166,29 +174,22 @@ pub fn plan_eviction_in_place(
         .collect();
     items.sort_by_key(|(d, _)| *d);
     for (max_depth, block) in items.into_iter().rev() {
-        let mut placed = false;
-        'depth: for d in (0..=max_depth as usize).rev() {
-            let bucket = path[d];
-            for slot in 0..z {
-                let key = (bucket, slot);
-                if live_slots.contains_key(&key) || assigned.contains_key(&key) {
-                    continue;
-                }
-                assigned.insert(key, block.clone());
-                placed = true;
-                break 'depth;
+        let free = (0..=max_depth as usize)
+            .rev()
+            .flat_map(slots_from)
+            .find(|k| !live_slots.contains_key(k) && !assigned.contains_key(k));
+        match free {
+            Some(k) => {
+                assigned.insert(k, block);
             }
-        }
-        if !placed {
-            leftovers.push(block);
+            None => leftovers.push(block),
         }
     }
 
     let mut plan = EvictionPlan::default();
-    for (d, bucket) in path.iter().enumerate() {
-        let _ = d;
+    for &bucket in &path {
         for slot in 0..z {
-            let block = assigned.remove(&(*bucket, slot));
+            let block = assigned.remove(&(bucket, slot));
             if let Some(b) = &block {
                 if b.is_backup {
                     plan.evicted_backups.push(b.addr());
@@ -197,7 +198,7 @@ pub fn plan_eviction_in_place(
                 }
             }
             plan.writes.push(SlotWrite {
-                bucket: *bucket,
+                bucket,
                 slot,
                 block,
             });
@@ -226,14 +227,14 @@ pub fn plan_eviction_in_place(
 /// # Panics
 ///
 /// Panics if `capacity` is zero.
-pub fn order_for_small_wpq(
+pub fn order_for_small_wpq<S: BuildHasher>(
     writes: &[SlotWrite],
-    live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
+    live_old: &HashMap<(BucketIndex, usize), BlockAddr, S>,
     capacity: usize,
 ) -> Result<Vec<Vec<SlotWrite>>, usize> {
     assert!(capacity > 0);
     // Destination of each address written this round.
-    let new_slot: HashMap<BlockAddr, usize> = writes
+    let new_slot: CoordMap<BlockAddr, usize> = writes
         .iter()
         .enumerate()
         .filter_map(|(i, w)| w.block.as_ref().map(|b| (b.addr(), i)))
@@ -243,8 +244,8 @@ pub fn order_for_small_wpq(
         .filter(|&i| writes[i].block.is_some())
         .collect();
     // Edge u -> v means u must be durable no later than v's batch.
-    let mut succs: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut preds: HashMap<usize, usize> = real.iter().map(|&i| (i, 0)).collect();
+    let mut succs: CoordMap<usize, Vec<usize>> = CoordMap::default();
+    let mut preds: CoordMap<usize, usize> = real.iter().map(|&i| (i, 0)).collect();
     for &v in &real {
         let w = &writes[v];
         if let Some(&victim) = live_old.get(&(w.bucket, w.slot)) {
@@ -301,11 +302,11 @@ pub fn order_for_small_wpq(
     Ok(batches)
 }
 
-fn find_cycle(
+fn find_cycle<S: BuildHasher>(
     remaining: &[usize],
     writes: &[SlotWrite],
-    live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
-    new_slot: &HashMap<BlockAddr, usize>,
+    live_old: &HashMap<(BucketIndex, usize), BlockAddr, S>,
+    new_slot: &CoordMap<BlockAddr, usize>,
 ) -> Vec<usize> {
     // Every remaining node has a predecessor; walk backwards until a repeat.
     let start = remaining[0];
@@ -553,6 +554,49 @@ mod tests {
         assert_eq!(reals, 3);
         for b in &batches {
             assert!(b.len() <= 1);
+        }
+    }
+
+    #[test]
+    fn in_place_assigns_duplicate_live_copies_in_path_order() {
+        // A primary that re-drew its old leaf and its backup are both live
+        // on the evicted path. Whatever the map's iteration order, the
+        // first must block takes the shallowest live slot of the address
+        // (root-to-leaf, slot-ascending) and the second the next one.
+        let t = tree();
+        let leaf = Leaf(5);
+        let deep = (t.bucket_at(leaf, 5), 3usize);
+        let shallow = (t.bucket_at(leaf, 2), 1usize);
+        let mut primary = blk(9, 5);
+        primary.header.seq = 2;
+        let backup = blk(9, 5).to_backup(leaf);
+        for live in [
+            HashMap::from([(deep, BlockAddr(9)), (shallow, BlockAddr(9))]),
+            HashMap::from([(shallow, BlockAddr(9)), (deep, BlockAddr(9))]),
+        ] {
+            for must in [
+                vec![primary.clone(), backup.clone()],
+                vec![backup.clone(), primary.clone()],
+            ] {
+                let first_is_backup = must[0].is_backup;
+                let (plan, left) = plan_eviction_in_place(must, vec![], &t, leaf, &live);
+                assert!(left.is_empty());
+                let at = |k: (BucketIndex, usize)| {
+                    plan.writes
+                        .iter()
+                        .find(|w| (w.bucket, w.slot) == k)
+                        .and_then(|w| w.block.as_ref())
+                        .expect("live slot keeps a copy")
+                        .is_backup
+                };
+                assert_eq!(
+                    at(shallow),
+                    first_is_backup,
+                    "first must block goes shallow"
+                );
+                assert_eq!(at(deep), !first_is_backup, "second must block goes deep");
+                assert_eq!(plan.real_blocks(), 2);
+            }
         }
     }
 

@@ -48,6 +48,7 @@ mod block;
 mod bucket;
 pub mod chain;
 pub mod controller;
+mod coord;
 mod crash;
 pub mod engine;
 pub mod eviction;

@@ -1,10 +1,9 @@
 //! Position maps: the main (persistable) PosMap and PS-ORAM's temporary
 //! PosMap.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
+use crate::coord::CoordMap;
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// SplitMix64 — deterministic initial leaf assignment.
@@ -46,9 +45,9 @@ pub struct PosMap {
     num_leaves: u64,
     seed: u64,
     /// Volatile updates not yet persisted (lost on crash).
-    volatile: HashMap<u64, u64>,
+    volatile: CoordMap<u64, u64>,
     /// Durable updates (survive crashes).
-    persisted: HashMap<u64, u64>,
+    persisted: CoordMap<u64, u64>,
     persist_writes: u64,
 }
 
@@ -64,8 +63,8 @@ impl PosMap {
         PosMap {
             num_leaves,
             seed,
-            volatile: HashMap::new(),
-            persisted: HashMap::new(),
+            volatile: CoordMap::default(),
+            persisted: CoordMap::default(),
             persist_writes: 0,
         }
     }
@@ -183,7 +182,7 @@ impl PosMap {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TempPosMap {
     capacity: usize,
-    entries: HashMap<u64, u64>,
+    entries: CoordMap<u64, u64>,
     max_occupancy: usize,
 }
 
@@ -197,7 +196,7 @@ impl TempPosMap {
         assert!(capacity > 0, "temporary PosMap capacity must be positive");
         TempPosMap {
             capacity,
-            entries: HashMap::new(),
+            entries: CoordMap::default(),
             max_occupancy: 0,
         }
     }

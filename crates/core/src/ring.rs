@@ -35,6 +35,7 @@ use psoram_obsv::{Event, Phase, Tap};
 
 use crate::auth::{device_key, AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
 use crate::block::Block;
+use crate::coord::CoordMap;
 use crate::crash::{CrashPoint, RecoveryError, RecoveryReport};
 use crate::engine::{
     to_core, to_mem, AccessScratch, CommitLedger, PersistEngine, RoundDamage, WearReadOutcome,
@@ -217,7 +218,7 @@ pub struct RingOram {
     config: RingConfig,
     variant: RingVariant,
     nvm: NvmController,
-    buckets: HashMap<u64, RingBucket>,
+    buckets: CoordMap<u64, RingBucket>,
     stash: Vec<Block>,
     posmap: PosMap,
     temp: TempPosMap,
@@ -282,7 +283,7 @@ impl RingOram {
             engine: PersistEngine::new(config.wpq_capacity, config.wpq_capacity),
             rng: StdRng::seed_from_u64(seed),
             nvm: NvmController::new(nvm),
-            buckets: HashMap::new(),
+            buckets: CoordMap::default(),
             stash: Vec::new(),
             clock: 0,
             access_counter: 0,
@@ -853,7 +854,7 @@ impl RingOram {
             context: "stash primary present after update",
         })?;
         let value = self.stash[idx].payload.clone();
-        self.ledger.note_written(addr.0, value.clone());
+        self.ledger.note_written(addr.0, &value);
         if self.stash.len() > self.config.stash_capacity {
             return Err(OramError::StashOverflow {
                 capacity: self.config.stash_capacity,
@@ -1282,11 +1283,10 @@ impl RingOram {
     fn apply_rewrite(&mut self, bidx: u64, bucket: RingBucket) {
         // Ledger: every block written at its persisted position is now the
         // recoverable copy (PS variant only cares, but the data is cheap).
-        for b in bucket.real_blocks() {
+        for b in bucket.slots.iter().flatten() {
             let a = b.addr();
             if b.leaf() == self.posmap.persisted_get(a) {
-                self.ledger
-                    .commit_if_fresh(a.0, b.header.seq, b.payload.clone());
+                self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
         if self.history.is_some() {
@@ -1330,7 +1330,7 @@ impl RingOram {
                 }
             }
             if let Some((seq, payload)) = best {
-                self.ledger.commit_if_fresh(a.0, seq, payload);
+                self.ledger.commit_if_fresh(a.0, seq, &payload);
             }
         }
     }

@@ -1,10 +1,9 @@
 //! The ORAM stash: a small on-chip buffer of in-flight blocks.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
+use crate::coord::CoordMap;
 use crate::types::{BlockAddr, OramError};
 
 /// The on-chip stash (`C = 200` entries in the paper's Table 3).
@@ -12,13 +11,13 @@ use crate::types::{BlockAddr, OramError};
 /// Holds blocks between a path read and their eviction. PS-ORAM backup
 /// (shadow) blocks live here too but are invisible to lookups.
 ///
-/// Lookups go through a primary-address index (`addr → slot`) instead of a
-/// linear scan: with every access doing several `get`/`contains` probes over
-/// an up-to-`C`-entry stash, the scans were a measurable slice of the hot
-/// path. The `blocks` vector stays the source of truth — eviction iterates
-/// it in insertion order exactly as before — and the index always points at
-/// the *first* primary copy of an address, matching the old first-match scan
-/// semantics.
+/// Lookups go through a primary-address hash index (`addr → position`)
+/// instead of a linear scan: every access makes several `get`/`contains`
+/// probes over an up-to-`C`-entry stash. The `blocks` vector is the source
+/// of truth and the only thing ever iterated — eviction walks it in
+/// insertion order — so the index's own order never matters. It always
+/// points at the *first* primary copy of an address, matching first-match
+/// scan semantics.
 ///
 /// # Examples
 ///
@@ -37,7 +36,7 @@ pub struct Stash {
     max_occupancy: usize,
     /// Primary-block index: logical address → position in `blocks` of the
     /// first non-backup copy. Backups are never indexed.
-    index: BTreeMap<u64, usize>,
+    index: CoordMap<u64, usize>,
 }
 
 impl Stash {
@@ -52,7 +51,7 @@ impl Stash {
             capacity,
             blocks: Vec::new(),
             max_occupancy: 0,
-            index: BTreeMap::new(),
+            index: CoordMap::default(),
         }
     }
 

@@ -1,11 +1,10 @@
 //! The NVM-resident ORAM tree, stored sparsely.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
 use crate::bucket::Bucket;
+use crate::coord::CoordMap;
 use crate::types::{Leaf, OramConfig};
 
 /// Index of a bucket in heap order: the root is `0`, the node at depth `d`,
@@ -39,7 +38,10 @@ pub struct OramTree {
     /// Byte offset of this tree inside the simulated NVM address space
     /// (recursive PosMap trees live above the data tree).
     base_addr: u64,
-    buckets: HashMap<BucketIndex, Bucket>,
+    buckets: CoordMap<BucketIndex, Bucket>,
+    /// The all-dummy bucket [`OramTree::bucket`] lends out for indices
+    /// that were never materialized.
+    empty: Bucket,
 }
 
 impl OramTree {
@@ -55,7 +57,8 @@ impl OramTree {
             bucket_slots,
             block_bytes,
             base_addr,
-            buckets: HashMap::new(),
+            buckets: CoordMap::default(),
+            empty: Bucket::new(bucket_slots),
         }
     }
 
@@ -134,13 +137,12 @@ impl OramTree {
         self.base_addr + (bucket * self.bucket_slots as u64 + slot as u64) * self.block_bytes as u64
     }
 
-    /// Immutable bucket view; unmaterialized buckets read as all-dummy.
-    pub fn bucket(&self, idx: BucketIndex) -> Bucket {
+    /// Borrowed view of bucket `idx`. An unmaterialized bucket reads as
+    /// the tree's shared all-dummy bucket of `Z` slots and stays
+    /// unmaterialized; clone only what must outlive the borrow.
+    pub fn bucket(&self, idx: BucketIndex) -> &Bucket {
         debug_assert!(idx < self.num_buckets());
-        self.buckets
-            .get(&idx)
-            .cloned()
-            .unwrap_or_else(|| Bucket::new(self.bucket_slots))
+        self.buckets.get(&idx).unwrap_or(&self.empty)
     }
 
     /// Mutable bucket access, materializing on demand.
@@ -185,13 +187,13 @@ impl OramTree {
     /// was corrupted.
     pub(crate) fn corrupt_first_real_block(&mut self, leaf: Leaf) -> bool {
         for idx in self.path_indices(leaf) {
-            let bucket = self.bucket(idx);
-            for slot in 0..bucket.num_slots() {
-                if let Some(b) = bucket.slot(slot) {
-                    let mut evil = b.clone();
-                    evil.payload[0] ^= 0xFF;
-                    self.write_slot(idx, slot, Some(evil));
-                    return true;
+            if let Some(bucket) = self.buckets.get_mut(&idx) {
+                for slot in 0..bucket.num_slots() {
+                    if let Some(mut evil) = bucket.set_slot(slot, None) {
+                        evil.payload[0] ^= 0xFF;
+                        bucket.set_slot(slot, Some(evil));
+                        return true;
+                    }
                 }
             }
         }
@@ -274,8 +276,55 @@ mod tests {
     #[test]
     fn unmaterialized_buckets_read_all_dummy() {
         let t = tree();
-        assert!(t.bucket(12).is_empty());
-        assert_eq!(t.materialized_buckets(), 0);
+        let view = t.bucket(12);
+        assert!(view.is_empty());
+        assert_eq!(view.num_slots(), t.bucket_slots());
+        assert_eq!(view.free_slots(), t.bucket_slots());
+        assert_eq!(t.materialized_buckets(), 0, "a read must not materialize");
+    }
+
+    #[test]
+    fn write_slot_materializes_only_its_bucket() {
+        let mut t = tree();
+        t.write_slot(12, 1, None);
+        assert_eq!(t.materialized_indices(), vec![12]);
+        t.write_slot(40, 3, Some(Block::new(BlockAddr(9), Leaf(2), vec![9; 8])));
+        assert_eq!(t.materialized_indices(), vec![12, 40]);
+        assert_eq!(t.bucket(40).slot(3).map(Block::addr), Some(BlockAddr(9)));
+        assert!(t.bucket(41).is_empty());
+        assert_eq!(t.materialized_buckets(), 2);
+    }
+
+    #[test]
+    fn borrowed_view_equals_the_owned_clone_it_replaced() {
+        // Reference: the owned-clone semantics of the old accessor over a
+        // plain map, updated in lockstep with the tree.
+        let mut t = tree();
+        let z = t.bucket_slots();
+        let mut model: std::collections::HashMap<BucketIndex, Bucket> = Default::default();
+        let old_clone = |m: &std::collections::HashMap<BucketIndex, Bucket>, idx| {
+            m.get(&idx).cloned().unwrap_or_else(|| Bucket::new(z))
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..600u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let idx = x % t.num_buckets();
+            let slot = (x >> 20) as usize % z;
+            // Two writes in three store a block, one clears the slot.
+            let block = (!(x >> 40).is_multiple_of(3))
+                .then(|| Block::new(BlockAddr(step), Leaf(x % 64), vec![step as u8; 8]));
+            model
+                .entry(idx)
+                .or_insert_with(|| Bucket::new(z))
+                .set_slot(slot, block.clone());
+            t.write_slot(idx, slot, block);
+        }
+        for idx in 0..t.num_buckets() {
+            assert_eq!(t.bucket(idx), &old_clone(&model, idx), "bucket {idx}");
+        }
+        assert_eq!(t.materialized_buckets(), model.len());
     }
 
     #[test]

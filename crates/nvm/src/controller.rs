@@ -1,5 +1,8 @@
 //! The multi-channel NVM memory controller.
 
+use std::cmp::Ordering;
+use std::collections::HashMap;
+
 use psoram_obsv::{Event, Tap};
 use serde::{Deserialize, Serialize};
 
@@ -89,6 +92,69 @@ impl Default for NvmConfig {
     }
 }
 
+/// Lines per page of the per-line wear counter.
+const LINES_PER_PAGE: u64 = 1024;
+
+/// Per-line (block-granularity) lifetime write counts.
+///
+/// Counters live in pages of [`LINES_PER_PAGE`] consecutive lines,
+/// allocated on a page's first write. A path write-back sorts its
+/// addresses, so consecutive writes mostly land in the page written just
+/// before, and a write costs one array increment instead of a probe into a
+/// map of millions of lines. Page lookups on a page switch go through a
+/// directory keyed by page number, so sparse raw trace addresses stay
+/// cheap too.
+#[derive(Debug, Clone, Default)]
+struct LineWear {
+    /// Page number → position in `pages`.
+    directory: HashMap<u64, usize>,
+    /// `(page number, counters)`, in first-write order.
+    pages: Vec<(u64, Box<[u64]>)>,
+    /// Position in `pages` of the most recently written page.
+    last: usize,
+    /// Distinct lines written at least once.
+    touched: u64,
+}
+
+impl LineWear {
+    /// Counts one write to `line`.
+    fn record(&mut self, line: u64) {
+        let page = line / LINES_PER_PAGE;
+        if self.pages.get(self.last).is_none_or(|(p, _)| *p != page) {
+            let next = self.pages.len();
+            self.last = *self.directory.entry(page).or_insert(next);
+            if self.last == next {
+                self.pages
+                    .push((page, vec![0; LINES_PER_PAGE as usize].into_boxed_slice()));
+            }
+        }
+        let count = &mut self.pages[self.last].1[(line % LINES_PER_PAGE) as usize];
+        self.touched += u64::from(*count == 0);
+        *count += 1;
+    }
+
+    /// The `n` most-written lines as `(line, writes)`: count descending,
+    /// then line ascending.
+    fn hottest(&self, n: usize) -> Vec<(u64, u64)> {
+        let mut all: Vec<(u64, u64)> = self
+            .pages
+            .iter()
+            .flat_map(|(page, counts)| {
+                let base = page * LINES_PER_PAGE;
+                (base..).zip(counts.iter().copied()).filter(|&(_, w)| w > 0)
+            })
+            .collect();
+        let hotter =
+            |a: &(u64, u64), b: &(u64, u64)| -> Ordering { b.1.cmp(&a.1).then(a.0.cmp(&b.0)) };
+        if n < all.len() {
+            all.select_nth_unstable_by(n, hotter);
+            all.truncate(n);
+        }
+        all.sort_unstable_by(hotter);
+        all
+    }
+}
+
 /// Cycle-level multi-channel NVM controller.
 ///
 /// Addresses are interleaved across channels at block granularity and across
@@ -113,9 +179,8 @@ pub struct NvmController {
     stats: NvmStats,
     /// Buffered (acknowledged but not yet drained) writes: `(addr, bytes)`.
     write_buffer: std::collections::VecDeque<(u64, usize)>,
-    /// Per-line (block-granularity) lifetime write counts. Queries sort,
-    /// so the map stays deterministic despite the hash layout.
-    line_writes: std::collections::HashMap<u64, u64>,
+    /// Per-line (block-granularity) lifetime write counts.
+    line_writes: LineWear,
     /// Writes drained from the buffer (observability).
     drained_writes: u64,
     /// Observability tap (bank-level `NvmAccess` events, memory cycles).
@@ -140,7 +205,7 @@ impl NvmController {
             channels,
             stats: NvmStats::default(),
             write_buffer: std::collections::VecDeque::new(),
-            line_writes: std::collections::HashMap::new(),
+            line_writes: LineWear::default(),
             drained_writes: 0,
             tap: Tap::detached(),
         }
@@ -183,8 +248,8 @@ impl NvmController {
         if kind.is_write() {
             // Line-granularity wear accounting: one cell-programming pulse
             // per accepted write, whether it drains now or via the buffer.
-            let line = addr / self.config.block_bytes as u64;
-            *self.line_writes.entry(line).or_insert(0) += 1;
+            self.line_writes
+                .record(addr / self.config.block_bytes as u64);
         }
         // Read-priority write buffering: acknowledged writes park in the
         // buffer; they drain to the banks when the buffer crosses its high
@@ -303,18 +368,15 @@ impl NvmController {
     }
 
     /// The `n` most-written lines as `(line, writes)`, hottest first
-    /// (ties break toward the lowest line). Deterministic: the backing
-    /// map is sorted on every query.
+    /// (ties break toward the lowest line). Lines never written are never
+    /// listed.
     pub fn hottest_lines(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.line_writes.iter().map(|(&l, &w)| (l, w)).collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
+        self.line_writes.hottest(n)
     }
 
     /// Distinct lines written at least once.
     pub fn lines_touched(&self) -> u64 {
-        self.line_writes.len() as u64
+        self.line_writes.touched
     }
 
     /// Snapshot of the controller's wear skew: per-bank counts plus the
